@@ -26,7 +26,7 @@ be combined after a parallel run.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 __all__ = ["LatencyHistogram", "SUBBUCKETS", "RELATIVE_ERROR"]
 
@@ -101,16 +101,30 @@ class LatencyHistogram:
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold ``other`` in; exactly equivalent to recording its
         samples here (bucket counts are additive)."""
-        if other.count == 0:
+        self._fold(other.count, other.total_ns, other._min_ns,
+                   other._max_ns, other.buckets.items())
+
+    def merge_state(self, state: dict) -> None:
+        """Fold in a :meth:`state_dict` snapshot; exactly
+        ``merge(from_state(state))`` without building the histogram."""
+        self._fold(int(state["count"]), int(state["total_ns"]),
+                   int(state["min_ns"]), int(state["max_ns"]),
+                   ((int(index), int(count))
+                    for index, count in state["buckets"].items()))
+
+    def _fold(self, count: int, total_ns: int, min_ns: int, max_ns: int,
+              buckets: Iterable[Tuple[int, int]]) -> None:
+        if count == 0:
             return
-        if self.count == 0 or other._min_ns < self._min_ns:
-            self._min_ns = other._min_ns
-        if other._max_ns > self._max_ns:
-            self._max_ns = other._max_ns
-        self.count += other.count
-        self.total_ns += other.total_ns
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
+        if self.count == 0 or min_ns < self._min_ns:
+            self._min_ns = min_ns
+        if max_ns > self._max_ns:
+            self._max_ns = max_ns
+        self.count += count
+        self.total_ns += total_ns
+        mine = self.buckets
+        for index, samples in buckets:
+            mine[index] = mine.get(index, 0) + samples
 
     def reset(self) -> None:
         self.count = 0

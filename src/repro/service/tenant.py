@@ -420,15 +420,14 @@ class TenantStats:
             if key in self._COUNTERS:
                 setattr(self, key, getattr(self, key) + value)
             elif key in ("read_latency", "write_latency"):
-                getattr(self, key).merge(
-                    LatencyHistogram.from_state(value))
+                getattr(self, key).merge_state(value)
             elif key == "wear":
                 self.wear = _merge_tree(self.wear or {}, value)
             elif key.endswith("_latency"):
                 hist = self.extra.get(key)
                 if hist is None:
                     hist = self.extra[key] = LatencyHistogram()
-                hist.merge(LatencyHistogram.from_state(value))
+                hist.merge_state(value)
             elif isinstance(value, (Mapping, list)):
                 merged = _merge_tree({key: self.extra.get(key)}
                                      if self.extra.get(key) is not None

@@ -307,6 +307,21 @@ def build_tpca_system(num_segments: int = 128,
     return TimedSimulator(controller, workload, seed=seed + 1)
 
 
+def prewarmed_tpca_system(rate_tps: float, utilization: float = 0.80,
+                          num_segments: int = 128,
+                          pages_per_segment: int = 1024,
+                          policy: str = "hybrid", seed: int = 7,
+                          prewarm_turnovers: float = 10.0,
+                          program_speedup: float = 1.0) -> TimedSimulator:
+    """The Figure 13-15 system, built and prewarmed, ready to ``run()``."""
+    simulator = build_tpca_system(num_segments, pages_per_segment,
+                                  utilization, rate_tps, policy, seed,
+                                  program_speedup)
+    if prewarm_turnovers > 0:
+        simulator.prewarm(prewarm_turnovers)
+    return simulator
+
+
 def simulate_tpca(rate_tps: float, duration_s: float = 0.3,
                   warmup_s: float = 0.1, utilization: float = 0.80,
                   num_segments: int = 128, pages_per_segment: int = 1024,
@@ -314,9 +329,7 @@ def simulate_tpca(rate_tps: float, duration_s: float = 0.3,
                   prewarm_turnovers: float = 10.0,
                   program_speedup: float = 1.0) -> SimStats:
     """One point of the Figure 13/14/15 curves."""
-    simulator = build_tpca_system(num_segments, pages_per_segment,
-                                  utilization, rate_tps, policy, seed,
-                                  program_speedup)
-    if prewarm_turnovers > 0:
-        simulator.prewarm(prewarm_turnovers)
+    simulator = prewarmed_tpca_system(rate_tps, utilization, num_segments,
+                                      pages_per_segment, policy, seed,
+                                      prewarm_turnovers, program_speedup)
     return simulator.run(duration_s, warmup_s)

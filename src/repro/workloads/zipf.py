@@ -11,17 +11,55 @@ Sampling uses the inverse-CDF over ranks with a precomputed cumulative
 table (exact, O(log n) per draw), and ranks are scattered over the page
 space with a fixed permutation so physical adjacency carries no hidden
 meaning.
+
+Both tables depend only on ``(num_pages, skew)`` — the scatter
+permutation only on ``num_pages``, since its shuffle seed is a constant
+— so they are built once per shape by two bounded module-level caches
+and shared, as immutable tuples, by every workload of that shape.  A
+thousand-tenant service fleet with four distinct skews therefore builds
+four tables, not a thousand, per run.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import random
-from typing import Optional
+from typing import Optional, Tuple
 
 from .base import WriteWorkload
 
 __all__ = ["ZipfWorkload"]
+
+#: Distinct shapes kept by each table cache (least recently used first
+#: out); a service fleet cycles through a handful of shapes.
+TABLE_CACHE_SIZE = 16
+
+#: Seed of the fixed rank -> page scatter permutation.
+SCATTER_SEED = 0xC0FFEE
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)
+def cumulative_weights(num_pages: int, skew: float) -> Tuple[float, ...]:
+    """Running sum of the rank weights ``1 / (rank+1)^skew``.
+
+    ``typed=True`` keeps an int skew and its float twin apart, so each
+    table is exactly the one that skew's own arithmetic produces.
+    """
+    cumulative = []
+    total = 0.0
+    for rank in range(num_pages):
+        total += 1.0 / (rank + 1) ** skew
+        cumulative.append(total)
+    return tuple(cumulative)
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def scatter_permutation(num_pages: int) -> Tuple[int, ...]:
+    """The fixed rank -> page permutation for a page space."""
+    permutation = list(range(num_pages))
+    random.Random(SCATTER_SEED).shuffle(permutation)
+    return tuple(permutation)
 
 
 class ZipfWorkload(WriteWorkload):
@@ -35,19 +73,10 @@ class ZipfWorkload(WriteWorkload):
             raise ValueError("skew cannot be negative")
         self.skew = skew
         self.label = f"zipf({skew:g})"
-        cumulative = []
-        total = 0.0
-        for rank in range(num_pages):
-            total += 1.0 / (rank + 1) ** skew
-            cumulative.append(total)
-        self._cumulative = cumulative
-        self._total = total
-        if scatter:
-            permutation = list(range(num_pages))
-            random.Random(0xC0FFEE).shuffle(permutation)
-            self._page_of_rank = permutation
-        else:
-            self._page_of_rank = None
+        self._cumulative = cumulative_weights(num_pages, skew)
+        self._total = self._cumulative[-1]
+        self._page_of_rank = (scatter_permutation(num_pages) if scatter
+                              else None)
 
     def next_page(self) -> int:
         point = self.rng.random() * self._total

@@ -6,9 +6,12 @@ zero-perturbation contract: an instrumented run produces the same
 simulated results as an uninstrumented one.
 """
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EnvyConfig, EnvySystem
 from repro.core.metrics import ControllerMetrics, LatencyStat
@@ -19,6 +22,9 @@ from repro.obs import (EventBus, LatencyHistogram, ObsEvent,
                        ObservabilityHub)
 from repro.obs.export import chrome_trace, events_jsonl, prometheus_text
 from repro.obs.hist import RELATIVE_ERROR, bucket_bounds, bucket_index
+from repro.service import EnvyService, ServiceConfig, frontend
+from repro.service.bench import scale_fleet
+from repro.service.tenant import TenantSpec, TenantStats
 from repro.sim import build_tpca_system
 
 
@@ -128,6 +134,109 @@ class TestHistogram:
         stat.record(100)
         assert isinstance(stat, LatencyHistogram)
         assert stat.p50 == 100
+
+
+_SAMPLES = st.lists(st.integers(min_value=-5, max_value=1 << 40),
+                    max_size=40)
+
+
+def _histogram(samples):
+    hist = LatencyHistogram()
+    for value in samples:
+        hist.record(value)
+    return hist
+
+
+class TestMergeState:
+    @given(_SAMPLES, _SAMPLES)
+    @settings(deadline=None, max_examples=200)
+    def test_merge_state_equals_merge_of_from_state(self, left, right):
+        state = _histogram(right).state_dict()
+        direct, via_object = _histogram(left), _histogram(left)
+        direct.merge_state(state)
+        via_object.merge(LatencyHistogram.from_state(state))
+        assert direct.state_dict() == via_object.state_dict()
+        assert direct.state_dict() == _histogram(left + right).state_dict()
+
+    def test_empty_sides(self):
+        full = _histogram([160, 4000, 7])
+        empty = LatencyHistogram()
+        empty.merge_state(full.state_dict())
+        assert empty.state_dict() == full.state_dict()
+        before = full.state_dict()
+        full.merge_state(LatencyHistogram().state_dict())
+        assert full.state_dict() == before
+
+    def test_accepts_json_round_tripped_state(self):
+        # JSON turns bucket keys into strings; from_state coerces them
+        # and so must merge_state.
+        state = json.loads(json.dumps(_histogram([3, 200, 9000])
+                                      .state_dict()))
+        hist = _histogram([1])
+        hist.merge_state(state)
+        assert hist.state_dict() == _histogram([1, 3, 200, 9000]).state_dict()
+
+    def test_does_not_alias_the_state(self):
+        state = _histogram([50]).state_dict()
+        before = json.dumps(state, sort_keys=True)
+        hist = LatencyHistogram()
+        hist.merge_state(state)
+        hist.record(50)
+        assert json.dumps(state, sort_keys=True) == before
+
+
+@pytest.fixture(scope="module")
+def fleet_shard_results():
+    """Per-shard results of one ``scale_fleet(40)`` service run, plus
+    the run's merged per-tenant stats."""
+    config = ServiceConfig(num_shards=4, num_segments=16,
+                           pages_per_segment=32, seed=2026,
+                           cache_pages=64, admission=True)
+    tenants = [TenantSpec.from_spec(t) for t in scale_fleet(40, 0.002)]
+    service = EnvyService(config, tenants)
+    captured = []
+    real = frontend.run_sweep
+
+    def recording(worker, points, jobs=None):
+        results = real(worker, points, jobs=jobs)
+        captured.append(results)
+        return results
+
+    frontend.run_sweep = recording
+    try:
+        stats = service.run(0.002, jobs=1)
+    finally:
+        frontend.run_sweep = real
+    return captured[-1], stats
+
+
+class TestTenantMergeShard:
+    def _merged(self, results):
+        merged = {}
+        for shard_result in results:
+            for name, slice_stats in shard_result["tenants"].items():
+                if name.startswith("__"):
+                    continue
+                merged.setdefault(name, TenantStats(name)) \
+                    .merge_shard(slice_stats)
+        return {name: tstats.as_dict() for name, tstats in merged.items()}
+
+    def test_any_shard_permutation_gives_same_aggregate(
+            self, fleet_shard_results):
+        results, _ = fleet_shard_results
+        assert len(results) == 4
+        expected = self._merged(results)
+        assert len(expected) == 40
+        for order in itertools.permutations(results):
+            assert self._merged(order) == expected
+
+    def test_matches_the_service_run(self, fleet_shard_results):
+        results, stats = fleet_shard_results
+        merged = self._merged(results)
+        for name, tstats in stats.tenants.items():
+            summary = tstats.as_dict()
+            summary["offered"] = summary["throttled"] = 0
+            assert merged.get(name, TenantStats(name).as_dict()) == summary
 
 
 class TestMetricsPersistence:

@@ -1,5 +1,8 @@
 """Tests for the sharded service core: router, tenants, determinism."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.service import (CrossShardError, EnvyService, ServiceConfig,
@@ -238,6 +241,30 @@ class TestDirectAccess:
 
     def test_cross_shard_error_is_a_value_error(self):
         assert issubclass(CrossShardError, ValueError)
+
+
+class TestSchedulePin:
+    """The merged request schedule of a churn fleet, pinned by digest.
+
+    The schedule is a pure function of ``(tenants, duration, seed)``;
+    this digest was taken before the zipf tables became shared, so any
+    later change to table construction, per-tenant seeding, token
+    buckets or the merge order shows up here.
+    """
+
+    DIGEST = ("68a22940965a42fdde2e13d270099d37"
+              "ff9762c17ab3babb6b782cdfc9293601")
+
+    def test_scale_fleet_schedule_digest(self):
+        from repro.service.bench import scale_fleet
+        from repro.service.loadgen import LoadGenerator
+
+        specs = [TenantSpec.from_spec(t) for t in scale_fleet(40, 0.01)]
+        schedule, accounting = LoadGenerator(
+            specs, 4096, 256, seed=1).generate(0.01)
+        assert len(schedule) == 3005
+        blob = json.dumps([schedule, accounting], sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.DIGEST
 
 
 class TestServiceBench:

@@ -1,6 +1,8 @@
 """Tests for trace record/replay and the Zipf workload."""
 
+import hashlib
 import io
+import json
 
 import pytest
 
@@ -200,3 +202,120 @@ class TestZipfWorkload:
 
     def test_label(self):
         assert ZipfWorkload(10, skew=0.8).label == "zipf(0.8)"
+
+
+def _draws_digest(workload, count=200):
+    draws = [workload.next_page() for _ in range(count)]
+    return draws, hashlib.sha256(json.dumps(draws).encode()).hexdigest()
+
+
+class TestZipfRegression:
+    """Draw streams pinned to the values of the per-instance tables the
+    shared ones replaced: any drift in the cumulative table, the scatter
+    permutation or the sampling arithmetic changes these digests."""
+
+    # (num_pages, skew, seed, scatter) -> (first 8 draws, sha256 of the
+    # JSON list of the first 200 draws, access_share(0.1)).
+    PINNED = {
+        (1000, 0.0, 1, True): (
+            [550, 384, 414, 87, 536, 338, 493, 403],
+            "1f5370738059ed664486b7d27454c0c767c726ab1ca6e7f772dd9e71de6eb954",
+            0.1),
+        (1000, 0.4, 7, True): (
+            [274, 236, 892, 779, 209, 654, 929, 309],
+            "9b1ae8d5eb9cae6a650ce21fc0a6e11c63d92580dfd2d98354c1ecb426352b86",
+            0.24370729377129893),
+        (512, 0.4 + 0.2 * 1, 11, True): (
+            [130, 281, 481, 374, 300, 189, 333, 140],
+            "8fc000bc20d2c34a7fc2d8017f5ffedb77b728700a9f0633c18db049aae3fb42",
+            0.35751561184597147),
+        (512, 0.4 + 0.2 * 2, 12, True): (
+            [96, 159, 291, 145, 113, 173, 492, 47],
+            "3a7a9a2cecdfc6eb775867a0e79bf639b9b3546adbfb0fcd847185f22cf55629",
+            0.5055870221247547),
+        (512, 0.4 + 0.2 * 3, 13, True): (
+            [145, 44, 226, 348, 212, 145, 212, 145],
+            "494b3e27691d9009d354ceee645cf2fd8559667bfd417a7a299bc5e3739cef0c",
+            0.6629211795442638),
+        (4096, 1.2, 3, False): (
+            [1, 11, 3, 18, 21, 0, 0, 218],
+            "9761429cbee998911c1b032974df344cb7498265f4a904e41e703a621c22805a",
+            0.8806749973188712),
+        (200, 0.99, 0, False): (
+            [81, 49, 6, 2, 11, 5, 57, 2],
+            "848f311f7309a4d4e8e939f2efc6099a750eb9d594204c9d096120c1c899af6d",
+            0.6051332722667668),
+        (37, 2, 5, True): (
+            [0, 0, 30, 32, 0, 16, 18, 18],
+            "eefd6536b388a08fe168a179b4f58b977676124084c02d700170f15c2a799dc3",
+            0.8410907753304068),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED, key=repr), ids=repr)
+    def test_first_200_draws_pinned(self, case):
+        num_pages, skew, seed, scatter = case
+        head, digest, share = self.PINNED[case]
+        workload = ZipfWorkload(num_pages, skew=skew, seed=seed,
+                                scatter=scatter)
+        draws, got = _draws_digest(workload)
+        assert draws[:8] == head
+        assert got == digest
+        assert workload.access_share(0.1) == share
+
+    def test_pins_cover_every_scale_fleet_skew(self):
+        # The service fleet's skews are float sums, not literals (0.6 is
+        # really 0.6000000000000001); each one has a pinned stream.
+        from repro.service.bench import scale_fleet
+
+        fleet_skews = {tenant["skew"] for tenant in scale_fleet(8, 0.01)}
+        assert len(fleet_skews) == 4
+        assert fleet_skews <= {skew for _, skew, _, _ in self.PINNED}
+
+    def test_reset_replays_pinned_stream(self):
+        workload = ZipfWorkload(512, skew=0.4 + 0.2 * 3, seed=13)
+        first, digest = _draws_digest(workload)
+        workload.reset()
+        assert _draws_digest(workload) == (first, digest)
+
+
+class TestZipfSharedTables:
+    def test_equal_shapes_share_tuples(self):
+        a = ZipfWorkload(300, skew=0.8, seed=1)
+        b = ZipfWorkload(300, skew=0.8, seed=2)
+        assert isinstance(a._cumulative, tuple)
+        assert isinstance(a._page_of_rank, tuple)
+        assert a._cumulative is b._cumulative
+        assert a._page_of_rank is b._page_of_rank
+
+    def test_permutation_shared_across_skews(self):
+        a = ZipfWorkload(300, skew=0.8, seed=1)
+        b = ZipfWorkload(300, skew=1.1, seed=1)
+        assert a._cumulative is not b._cumulative
+        assert a._page_of_rank is b._page_of_rank
+
+    def test_unscattered_has_no_permutation(self):
+        plain = ZipfWorkload(300, skew=0.8, seed=1, scatter=False)
+        scattered = ZipfWorkload(300, skew=0.8, seed=1)
+        assert plain._page_of_rank is None
+        assert plain._cumulative is scattered._cumulative
+
+    def test_sharing_leaves_access_share_unchanged(self):
+        fresh = ZipfWorkload(777, skew=0.9, seed=3).access_share(0.25)
+        shared = ZipfWorkload(777, skew=0.9, seed=4).access_share(0.25)
+        assert fresh == shared
+        total = sum(1.0 / (rank + 1) ** 0.9 for rank in range(777))
+        top = sum(1.0 / (rank + 1) ** 0.9 for rank in range(194))
+        assert shared == pytest.approx(top / total, rel=1e-12)
+
+    def test_int_and_float_skew_tables_kept_apart(self):
+        as_int = ZipfWorkload(50, skew=2, seed=1)
+        as_float = ZipfWorkload(50, skew=2.0, seed=1)
+        assert as_int._cumulative is not as_float._cumulative
+        assert as_int._cumulative == as_float._cumulative
+
+    def test_tables_are_immutable(self):
+        workload = ZipfWorkload(64, skew=1.0, seed=1)
+        with pytest.raises(TypeError):
+            workload._cumulative[0] = 0.0
+        with pytest.raises(TypeError):
+            workload._page_of_rank[0] = 1
